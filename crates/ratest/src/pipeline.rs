@@ -18,9 +18,8 @@ use crate::optsigma::{smallest_witness_optsigma, OptSigmaOptions};
 use crate::polytime::{
     smallest_witness_monotone, smallest_witness_monotone_with_results, smallest_witness_spjud_star,
 };
-use crate::problem::{CandidateEval, Counterexample, DeltaPair};
+use crate::problem::{CandidateEval, Counterexample};
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
-use ratest_delta::{DeltaPlan, SharedDeltaPlan};
 use ratest_provenance::annotate::{annotate_instrumented, difference_of, AnnotatedResult};
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify_pair, QueryClass};
@@ -30,46 +29,8 @@ use ratest_solver::incremental::SolverReuse;
 use ratest_storage::Database;
 use ratest_telemetry::MetricsHandle;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A shared cooperative-cancellation flag.
-///
-/// Cloning is cheap (an [`Arc`] bump) and every clone observes the same
-/// flag. The counterexample algorithms poll it at their loop boundaries —
-/// once per candidate tuple / candidate group / solve attempt — and bail out
-/// with [`RatestError::Cancelled`], so a caller that abandons a run (e.g.
-/// the grading engine on a per-job timeout) can stop it from consuming CPU.
-#[derive(Debug, Clone, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
-
-impl CancelFlag {
-    /// A fresh, uncancelled flag.
-    pub fn new() -> CancelFlag {
-        CancelFlag::default()
-    }
-
-    /// Request cancellation. Every clone of the flag observes it.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Return [`RatestError::Cancelled`] when cancellation was requested —
-    /// the one-liner the algorithm loops call.
-    pub fn check(&self) -> Result<()> {
-        if self.is_cancelled() {
-            Err(RatestError::Cancelled)
-        } else {
-            Ok(())
-        }
-    }
-}
 
 /// How the min-ones problem is solved (the "solver strategy" axis of
 /// Figure 5).
@@ -147,8 +108,7 @@ pub struct RatestOptions {
     pub parameters: Params,
     /// The unified resource budget: cancellation + deadline + step quota,
     /// polled at algorithm loop boundaries *and* inside the
-    /// evaluator/annotator row loops. Replaces the pre-session scatter of
-    /// per-call timeouts and bare [`CancelFlag`]s.
+    /// evaluator/annotator row loops.
     pub budget: Budget,
     /// Typed progress events ([`crate::session::ExplainEvent`]) are emitted
     /// here; the default handle drops them.
@@ -166,15 +126,6 @@ pub struct RatestOptions {
     /// Use the incremental solving layer (default). `false` forces the
     /// historical from-scratch descent — the bench comparison leg.
     pub incremental_solver: bool,
-    /// Answer candidate sub-instances with the incremental delta-evaluation
-    /// engine (default). `false` forces scratch re-evaluation of every
-    /// candidate — the A/B and differential-testing leg. Results are
-    /// byte-identical either way.
-    pub delta_eval: bool,
-    /// The compiled delta plans of the current request. Set internally by
-    /// the shared-reference pipeline once the submission's plan compiles;
-    /// callers normally leave it `None`.
-    pub delta_pair: Option<DeltaPair>,
 }
 
 impl Default for RatestOptions {
@@ -189,8 +140,6 @@ impl Default for RatestOptions {
             metrics: MetricsHandle::none(),
             solver_reuse: None,
             incremental_solver: true,
-            delta_eval: true,
-            delta_pair: None,
         }
     }
 }
@@ -207,40 +156,6 @@ pub struct ExplainOutcome {
     pub algorithm_used: Algorithm,
     /// Timing breakdown of the run.
     pub timings: Timings,
-}
-
-/// Run RATest on a query pair.
-///
-/// One-shot compatibility wrapper: each call re-prepares everything and
-/// shares no state with any other call. New code should build a
-/// [`crate::session::Session`] and use [`crate::session::Session::explain`],
-/// which amortizes reference preparation and carries one [`Budget`] and
-/// event sink for the whole dialogue. The wrapper is bit-for-bit equivalent
-/// to `Session::explain_pair` on a fresh session (pinned by
-/// `tests/session_api.rs`).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Session` (`Session::builder(db).build()`) and call `explain_pair`"
-)]
-pub fn explain(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    options: &RatestOptions,
-) -> Result<ExplainOutcome> {
-    explain_impl(q1, q2, db, options)
-}
-
-/// The non-deprecated entry the session layer calls.
-pub(crate) fn explain_impl(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    options: &RatestOptions,
-) -> Result<ExplainOutcome> {
-    let outcome = explain_inner(q1, q2, db, options, true)?;
-    emit_verdict(options, &outcome);
-    Ok(outcome)
 }
 
 /// Emit the final [`ExplainEvent::Verdict`] for a finished run, and fold the
@@ -279,26 +194,23 @@ fn emit_verdict(options: &RatestOptions, outcome: &ExplainOutcome) {
 }
 
 /// Candidate-verification context handed to the search algorithms: the
-/// request's delta plans (if compiled) plus the metrics/interrupt pair the
-/// delta legs account against.
+/// request's metrics sink and interrupt.
 fn candidate_ctx(options: &RatestOptions) -> CandidateEval {
     CandidateEval {
-        delta: options.delta_pair.clone(),
         metrics: options.metrics.clone(),
         interrupt: options.budget.interrupt(),
     }
 }
 
-/// The full pipeline. The boolean distinguishes a fresh search from a
-/// fallback re-entry out of the shared-reference path (same logical
-/// search; kept so verdict events are emitted exactly once by the
-/// wrappers).
+/// The unshared pipeline: evaluate both queries, pick an algorithm by the
+/// pair's class and run it. The shared-reference path re-enters here for
+/// forced algorithms, aggregate pairs and declined candidate sets; the
+/// caller emits the verdict.
 fn explain_inner(
     q1: &Query,
     q2: &Query,
     db: &Database,
     options: &RatestOptions,
-    _top_level: bool,
 ) -> Result<ExplainOutcome> {
     options.budget.check()?;
     let class = classify_pair(q1, q2);
@@ -358,7 +270,6 @@ fn explain_inner(
                     metrics: options.metrics.clone(),
                     solver_reuse: reuse(options),
                     incremental_solver: options.incremental_solver,
-                    delta: options.delta_pair.clone(),
                     ..Default::default()
                 },
             ),
@@ -375,7 +286,6 @@ fn explain_inner(
                     metrics: options.metrics.clone(),
                     solver_reuse: reuse(options),
                     incremental_solver: options.incremental_solver,
-                    delta: options.delta_pair.clone(),
                 },
             ),
             Algorithm::PolytimeMonotone => {
@@ -399,7 +309,6 @@ fn explain_inner(
                     metrics: options.metrics.clone(),
                     solver_reuse: reuse(options),
                     incremental_solver: options.incremental_solver,
-                    delta: options.delta_pair.clone(),
                     ..Default::default()
                 },
             ),
@@ -414,7 +323,6 @@ fn explain_inner(
                     metrics: options.metrics.clone(),
                     solver_reuse: reuse(options),
                     incremental_solver: options.incremental_solver,
-                    delta: options.delta_pair.clone(),
                     ..Default::default()
                 },
             ),
@@ -432,11 +340,6 @@ fn explain_inner(
                         incremental_solver: options.incremental_solver,
                         ..Default::default()
                     },
-                    // The outer verification evaluates the *original* query
-                    // pair, so it gets the request's delta plans; the inner
-                    // `Optσ` run works on the stripped inner queries, which
-                    // the plans do not describe.
-                    delta: options.delta_pair.clone(),
                     ..Default::default()
                 },
             ),
@@ -489,13 +392,9 @@ pub struct PreparedReference {
     params: Params,
     result: Arc<ResultSet>,
     /// `None` when the reference is an aggregate query (the SPJUD annotator
-    /// does not apply); [`explain_with_reference`] then falls back to the
+    /// does not apply); explaining against it then falls back to the
     /// unshared pipeline.
     annotation: Option<Arc<AnnotatedResult>>,
-    /// Compiled delta plan for the reference (self-checked against
-    /// `result` during preparation); `None` when delta evaluation is off or
-    /// compilation declined.
-    delta: Option<SharedDeltaPlan>,
     /// Warm solver pool shared across every explain request against this
     /// reference (a grading cohort's common encoding).
     solver_pool: SolverReuse,
@@ -531,22 +430,6 @@ impl PreparedReference {
         budget: &Budget,
         metrics: &MetricsHandle,
     ) -> Result<PreparedReference> {
-        PreparedReference::prepare_with_delta(q1, db, params, budget, metrics, true)
-    }
-
-    /// [`PreparedReference::prepare_instrumented`] with an explicit
-    /// delta-evaluation switch: when `delta_eval` is on, the reference query
-    /// is additionally compiled into a [`DeltaPlan`] (self-checked against
-    /// the scratch result) so every candidate sub-instance of every request
-    /// against this reference can be answered incrementally.
-    pub fn prepare_with_delta(
-        q1: &Query,
-        db: &Database,
-        params: &Params,
-        budget: &Budget,
-        metrics: &MetricsHandle,
-        delta_eval: bool,
-    ) -> Result<PreparedReference> {
         let interrupt = budget.interrupt();
         let result = ratest_ra::eval::evaluate_instrumented(q1, db, params, &interrupt, metrics)?;
         let annotation = if q1.has_aggregates() {
@@ -556,24 +439,12 @@ impl PreparedReference {
                 q1, db, params, &interrupt, metrics,
             )?))
         };
-        let delta = if delta_eval {
-            match DeltaPlan::compile(q1, db, params, &interrupt, Some(&result)) {
-                Ok(plan) => {
-                    metrics.counter_inc("delta.plans_compiled");
-                    Some(SharedDeltaPlan::new(plan))
-                }
-                Err(_) => None,
-            }
-        } else {
-            None
-        };
         metrics.counter_inc("explain.references_prepared");
         Ok(PreparedReference {
             query: Arc::new(q1.clone()),
             params: params.clone(),
             result: Arc::new(result),
             annotation,
-            delta,
             solver_pool: SolverReuse::fresh(),
             pool_uses: Arc::new(std::sync::atomic::AtomicU64::new(0)),
         })
@@ -599,11 +470,6 @@ impl PreparedReference {
         &self.params
     }
 
-    /// The compiled delta plan for the reference, when available.
-    pub fn delta_plan(&self) -> Option<&SharedDeltaPlan> {
-        self.delta.as_ref()
-    }
-
     /// The warm solver pool shared across every request against this
     /// reference.
     pub fn solver_pool(&self) -> &SolverReuse {
@@ -616,68 +482,18 @@ impl PreparedReference {
         self.pool_uses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
-
-    /// Compile the submission's delta plan and pair it with the reference's,
-    /// when delta evaluation is enabled and both plans are available with
-    /// matching parameter bindings. Any compile failure quietly yields
-    /// `None` — the pipeline then evaluates candidates from scratch.
-    fn delta_pair_for(
-        &self,
-        q2: &Query,
-        db: &Database,
-        options: &RatestOptions,
-        expected_r2: Option<&ResultSet>,
-    ) -> Option<DeltaPair> {
-        if !options.delta_eval {
-            return None;
-        }
-        let q1_plan = self.delta.clone()?;
-        if !q1_plan.params_match(&self.params) {
-            return None;
-        }
-        match DeltaPlan::compile(
-            q2,
-            db,
-            &self.params,
-            &options.budget.interrupt(),
-            expected_r2,
-        ) {
-            Ok(plan) => {
-                options.metrics.counter_inc("delta.plans_compiled");
-                Some(DeltaPair {
-                    q1: q1_plan,
-                    q2: SharedDeltaPlan::new(plan),
-                })
-            }
-            Err(_) => None,
-        }
-    }
 }
 
 /// Run RATest for one submission against a [`PreparedReference`], reusing the
 /// reference's result and provenance annotation instead of recomputing them
 /// per pair.
 ///
-/// Dispatch mirrors [`explain`]: monotone pairs take the poly-time DNF path
-/// (sharing the reference *evaluation*); other SPJUD pairs run the exact
-/// `Basic` scan over difference annotations derived from the shared
-/// reference *annotation* via [`difference_of`]; aggregate pairs (no shared
-/// artifact applies) fall back to the unshared pipeline.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Session`, `prepare` the reference once, and call `explain`"
-)]
-pub fn explain_with_reference(
-    reference: &PreparedReference,
-    q2: &Query,
-    db: &Database,
-    options: &RatestOptions,
-) -> Result<ExplainOutcome> {
-    explain_prepared_impl(reference, q2, db, options)
-}
-
-/// The shared-reference pipeline the session layer calls.
-pub(crate) fn explain_prepared_impl(
+/// Monotone pairs take the poly-time DNF path (sharing the reference
+/// *evaluation*); other SPJUD pairs run the exact `Basic` scan over
+/// difference annotations derived from the shared reference *annotation*
+/// via [`difference_of`]; aggregate pairs (no shared artifact applies) and
+/// forced algorithm choices run the unshared pipeline.
+pub(crate) fn explain_prepared(
     reference: &PreparedReference,
     q2: &Query,
     db: &Database,
@@ -690,10 +506,8 @@ pub(crate) fn explain_prepared_impl(
     // otherwise the same options would run different algorithms depending on
     // whether the shared path succeeds.
     if options.algorithm != Algorithm::Auto {
-        let mut options = options.clone();
-        options.delta_pair = reference.delta_pair_for(q2, db, &options, None);
-        let outcome = explain_inner(q1, q2, db, &options, false)?;
-        emit_verdict(&options, &outcome);
+        let outcome = explain_inner(q1, q2, db, options)?;
+        emit_verdict(options, &outcome);
         return Ok(outcome);
     }
 
@@ -734,13 +548,6 @@ pub(crate) fn explain_prepared_impl(
         return Ok(outcome);
     }
 
-    // The queries differ: compile the submission's delta plan (self-checked
-    // against the result just computed) so every candidate loop below —
-    // including the fallback re-entries — can evaluate incrementally.
-    let mut options = options.clone();
-    options.delta_pair = reference.delta_pair_for(q2, db, &options, Some(&r2));
-    let options = &options;
-
     // Aggregate pairs use dedicated provenance machinery that the shared
     // annotation does not cover.
     let (ref_annotation, is_shareable) = match reference.annotation() {
@@ -748,7 +555,7 @@ pub(crate) fn explain_prepared_impl(
         _ => (None, false),
     };
     if !is_shareable {
-        let outcome = explain_inner(q1, q2, db, options, false)?;
+        let outcome = explain_inner(q1, q2, db, options)?;
         emit_verdict(options, &outcome);
         return Ok(outcome);
     }
@@ -807,7 +614,6 @@ pub(crate) fn explain_prepared_impl(
         metrics: options.metrics.clone(),
         solver_reuse: options.solver_reuse.clone().unwrap_or_default(),
         incremental_solver: options.incremental_solver,
-        delta: options.delta_pair.clone(),
         ..Default::default()
     };
     match smallest_counterexample_from_annotations(
@@ -837,7 +643,7 @@ pub(crate) fn explain_prepared_impl(
         // materialization) should not sink the submission: fall back to the
         // unshared pipeline, which has its own fallback chain.
         Err(RatestError::Unsupported(_) | RatestError::Solver(_)) => {
-            let outcome = explain_inner(q1, q2, db, options, false)?;
+            let outcome = explain_inner(q1, q2, db, options)?;
             emit_verdict(options, &outcome);
             Ok(outcome)
         }
@@ -849,9 +655,9 @@ pub(crate) fn explain_prepared_impl(
 mod tests {
     use super::*;
 
-    /// Test shorthand for the non-deprecated entry points.
+    /// Test shorthand for the unshared pipeline.
     fn explain(q1: &Query, q2: &Query, db: &Database, o: &RatestOptions) -> Result<ExplainOutcome> {
-        explain_impl(q1, q2, db, o)
+        explain_inner(q1, q2, db, o)
     }
     fn explain_with_reference(
         r: &PreparedReference,
@@ -859,7 +665,7 @@ mod tests {
         db: &Database,
         o: &RatestOptions,
     ) -> Result<ExplainOutcome> {
-        explain_prepared_impl(r, q2, db, o)
+        explain_prepared(r, q2, db, o)
     }
     use ratest_ra::builder::{col, lit, rel};
     use ratest_ra::testdata;
@@ -1069,15 +875,6 @@ mod tests {
         )
         .expect_err("the flag was raised before the run started");
         assert_eq!(err, RatestError::Cancelled);
-
-        // The flag is shared by clones — the grading engine raises it from
-        // the worker thread while the job thread polls its own clone.
-        let flag = CancelFlag::new();
-        let observer = flag.clone();
-        assert!(!observer.is_cancelled());
-        flag.cancel();
-        assert!(observer.is_cancelled());
-        assert_eq!(observer.check(), Err(RatestError::Cancelled));
     }
 
     #[test]

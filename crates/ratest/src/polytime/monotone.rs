@@ -12,7 +12,7 @@ use crate::pipeline::Timings;
 use crate::problem::{
     check_distinguishes, differing_tuples, verify_candidate, CandidateEval, Counterexample, Witness,
 };
-use ratest_provenance::annotate::annotate_with_params;
+use ratest_provenance::annotate::annotate_interruptible;
 use ratest_provenance::Dnf;
 use ratest_ra::ast::Query;
 use ratest_ra::builder::QueryBuilder;
@@ -107,7 +107,7 @@ pub fn smallest_witness_monotone_with_results(
         } else {
             producer.clone()
         };
-        let annotated = annotate_with_params(&pushed, db, params)?;
+        let annotated = annotate_interruptible(&pushed, db, params, &ctx.interrupt)?;
         let Some(prv) = annotated.provenance_of(&tuple).cloned() else {
             continue;
         };

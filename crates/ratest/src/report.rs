@@ -86,7 +86,17 @@ pub fn render_result(caption: &str, result: &ResultSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{explain_impl as explain, RatestOptions};
+    use crate::pipeline::{ExplainOutcome, RatestOptions};
+    use crate::session::Session;
+    use ratest_ra::ast::Query;
+    use ratest_storage::Database;
+
+    fn explain(q1: &Query, q2: &Query, db: &Database, options: &RatestOptions) -> ExplainOutcome {
+        let session = Session::builder(db.clone())
+            .options(options.clone())
+            .build();
+        session.explain_pair(q1, q2).unwrap()
+    }
     use ratest_ra::testdata;
 
     #[test]
@@ -97,8 +107,7 @@ mod tests {
             &testdata::example1_q2(),
             &db,
             &RatestOptions::default(),
-        )
-        .unwrap();
+        );
         let text = render_explanation(&outcome);
         assert!(text.contains("NOT equivalent"));
         assert!(text.contains("Student"));
@@ -112,7 +121,7 @@ mod tests {
     fn agreeing_queries_render_a_pass_message() {
         let db = testdata::figure1_db();
         let q = testdata::example1_q1();
-        let outcome = explain(&q, &q, &db, &RatestOptions::default()).unwrap();
+        let outcome = explain(&q, &q, &db, &RatestOptions::default());
         let text = render_explanation(&outcome);
         assert!(text.contains("same result"));
     }
@@ -125,8 +134,7 @@ mod tests {
             &testdata::example1_q2(),
             &db,
             &RatestOptions::default(),
-        )
-        .unwrap();
+        );
         let cex = outcome.counterexample.unwrap();
         // Q1 on the 3-tuple counterexample is empty.
         let text = render_result("caption", &cex.q1_result);
@@ -148,8 +156,7 @@ mod tests {
                 parameters: params,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let text = render_explanation(&outcome);
         assert!(text.contains("Chosen parameters"));
         assert!(text.contains("@numCS"));

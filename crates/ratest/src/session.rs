@@ -2,11 +2,7 @@
 //! progress events.
 //!
 //! The paper's RATest deployment ran as a long-lived service that students
-//! queried all semester; the one-shot free functions
-//! ([`crate::pipeline::explain`] and friends) re-evaluate and re-annotate
-//! the reference query on every call and spread their resource limits over
-//! an ad-hoc mix of per-algorithm timeouts and [`CancelFlag`]s. A
-//! [`Session`] replaces that surface:
+//! queried all semester. A [`Session`] is that service's core:
 //!
 //! * it **owns the database** and a cache of [`PreparedReference`]s keyed by
 //!   canonical fingerprint, so preparation cost is paid once per reference
@@ -33,8 +29,7 @@
 
 use crate::error::{RatestError, Result};
 use crate::pipeline::{
-    explain_prepared_impl, Algorithm, CancelFlag, ExplainOutcome, PreparedReference, RatestOptions,
-    SolverStrategy,
+    explain_prepared, Algorithm, ExplainOutcome, PreparedReference, RatestOptions, SolverStrategy,
 };
 use ratest_ra::ast::Query;
 use ratest_ra::classify::QueryClass;
@@ -42,7 +37,7 @@ use ratest_ra::eval::Params;
 use ratest_ra::interrupt::{Interrupt, InterruptHook, Interrupted};
 use ratest_storage::{Database, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -60,10 +55,9 @@ struct StepQuota {
 /// The unified resource budget of a run: cooperative cancellation, an
 /// optional wall-clock deadline, and an optional deterministic step quota.
 ///
-/// One `Budget` replaces the scattered timeout/[`CancelFlag`] plumbing the
-/// pre-session API grew: every algorithm loop polls [`Budget::check`] at its
-/// boundaries, and [`Budget::interrupt`] hands the same state to the
-/// evaluator/annotator inner loops, so *all* layers observe one limit.
+/// Every algorithm loop polls [`Budget::check`] at its boundaries, and
+/// [`Budget::interrupt`] hands the same state to the evaluator/annotator
+/// inner loops, so *all* layers observe one limit.
 ///
 /// Clones share state: the cancel flag and the step counter are behind
 /// [`Arc`]s, and the deadline is an absolute [`Instant`] fixed when the
@@ -77,7 +71,7 @@ struct StepQuota {
 /// should use a deadline instead.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
-    cancel: CancelFlag,
+    cancel: Arc<AtomicBool>,
     deadline: Option<Instant>,
     steps: Option<Arc<StepQuota>>,
 }
@@ -118,21 +112,9 @@ impl Budget {
         self
     }
 
-    /// Attach an externally owned cancel flag (e.g. the grading engine's
-    /// per-job flag) instead of this budget's fresh one.
-    pub fn with_cancel(mut self, cancel: CancelFlag) -> Budget {
-        self.cancel = cancel;
-        self
-    }
-
-    /// The budget's cancel flag; raise it (from any clone) to stop the run.
-    pub fn cancel_flag(&self) -> &CancelFlag {
-        &self.cancel
-    }
-
-    /// Request cancellation — shorthand for `cancel_flag().cancel()`.
+    /// Request cancellation. Every clone of the budget observes it.
     pub fn cancel(&self) {
-        self.cancel.cancel();
+        self.cancel.store(true, Ordering::Relaxed);
     }
 
     /// The absolute deadline, when one is set.
@@ -143,14 +125,14 @@ impl Budget {
     /// Whether any limit (deadline, quota, or a raised flag) is attached —
     /// `false` exactly for (un-cancelled) [`Budget::unlimited`].
     pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.steps.is_some() || self.cancel.is_cancelled()
+        self.deadline.is_some() || self.steps.is_some() || self.cancel.load(Ordering::Relaxed)
     }
 
     /// Poll the budget without consuming a step unless a quota is set.
     /// Returns the reason the run should stop, if any. Precedence:
     /// cancellation, then deadline, then quota.
     pub fn poll(&self) -> Option<Interrupted> {
-        if self.cancel.is_cancelled() {
+        if self.cancel.load(Ordering::Relaxed) {
             return Some(Interrupted::Cancelled);
         }
         if let Some(deadline) = self.deadline {
@@ -421,15 +403,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Whether preparing a reference also compiles delta plans so candidate
-    /// sub-instances are answered incrementally (default: on). Turning this
-    /// off forces every candidate verification back onto scratch
-    /// re-evaluation — the bench A/B comparison leg.
-    pub fn delta_eval(mut self, on: bool) -> SessionBuilder {
-        self.options.delta_eval = on;
-        self
-    }
-
     /// Attach an event sink.
     pub fn event_sink(mut self, sink: Arc<dyn EventSink>) -> SessionBuilder {
         self.options.events = EventHandle::new(sink);
@@ -502,13 +475,12 @@ impl Session {
                 return Ok(ReferenceHandle(fingerprint));
             }
         }
-        let prepared = Arc::new(PreparedReference::prepare_with_delta(
+        let prepared = Arc::new(PreparedReference::prepare_instrumented(
             reference,
             &self.db,
             &self.options.parameters,
             &self.options.budget,
             &self.options.metrics,
-            self.options.delta_eval,
         )?);
         self.references
             .write()
@@ -599,68 +571,7 @@ impl Session {
                 Some(prepared.solver_pool().clone())
             }
         };
-        explain_prepared_impl(&prepared, query, &self.db, &options)
-    }
-
-    /// Evaluate the prepared reference on a candidate sub-instance through
-    /// its delta plan. Returns `None` when the reference has no plan (delta
-    /// disabled or the query is unsupported) or when the delta evaluation
-    /// cannot answer (a scratch fallback is then the caller's job).
-    pub fn reference_delta_result(
-        &self,
-        handle: ReferenceHandle,
-        selection: &ratest_storage::TupleSelection,
-        params: &Params,
-    ) -> Option<ratest_ra::eval::ResultSet> {
-        let prepared = self.prepared(handle)?;
-        let plan = prepared.delta_plan()?;
-        if !plan.params_match(params) {
-            return None;
-        }
-        match plan.eval(selection, &self.options.budget.interrupt()) {
-            Ok((result, work)) => {
-                self.options
-                    .metrics
-                    .counter_inc("delta.candidates_incremental");
-                self.options.metrics.counter_add("delta.rows_touched", work);
-                Some(result)
-            }
-            Err(_) => {
-                self.options.metrics.counter_inc("delta.fallbacks_scratch");
-                None
-            }
-        }
-    }
-
-    /// Annotate the prepared reference on a candidate sub-instance through
-    /// its delta plan — the provenance analogue of
-    /// [`Session::reference_delta_result`]. `None` when no plan exists, the
-    /// plan does not support annotation (aggregates), or the delta pass
-    /// fails.
-    pub fn reference_delta_annotation(
-        &self,
-        handle: ReferenceHandle,
-        selection: &ratest_storage::TupleSelection,
-        params: &Params,
-    ) -> Option<ratest_provenance::AnnotatedResult> {
-        let prepared = self.prepared(handle)?;
-        let plan = prepared.delta_plan()?;
-        if !plan.params_match(params) || !plan.supports_annotation() {
-            return None;
-        }
-        match plan.annotate(selection, &self.options.budget.interrupt()) {
-            Ok((annotated, work)) => {
-                self.options
-                    .metrics
-                    .counter_inc("delta.candidates_incremental");
-                self.options.metrics.counter_add("delta.rows_touched", work);
-                Some(annotated)
-            }
-            Err(_) => {
-                self.options.metrics.counter_inc("delta.fallbacks_scratch");
-                None
-            }
-        }
+        explain_prepared(&prepared, query, &self.db, &options)
     }
 
     /// Explain an ad-hoc query pair. The reference is prepared through the
@@ -699,28 +610,6 @@ mod tests {
             .explain(reference, &testdata::example1_q1())
             .unwrap();
         assert!(outcome.counterexample.is_none());
-    }
-
-    #[test]
-    fn session_outcomes_match_the_one_shot_pipeline() {
-        let db = testdata::figure1_db();
-        let session = Session::builder(db.clone()).build();
-        let outcome = session
-            .explain_pair(&testdata::example1_q1(), &testdata::example1_q2())
-            .unwrap();
-        #[allow(deprecated)]
-        let plain = crate::pipeline::explain(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &RatestOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(
-            outcome.counterexample.unwrap().size(),
-            plain.counterexample.unwrap().size()
-        );
-        assert_eq!(outcome.class, plain.class);
     }
 
     #[test]

@@ -1,63 +1,22 @@
 //! Session-API guarantees at workload scale:
 //!
-//! * the deprecated one-shot shims (`explain`, `explain_with_reference`)
-//!   produce outcomes identical to the [`Session`] path on the course
-//!   workload — the compatibility contract of the API redesign;
 //! * a warm session answers repeats with the same outcome as a cold one
 //!   (session-level mirror of the grader's warm-regrade conformance test);
 //! * a [`Budget`] bounds real work on the TPC-H workload: an expired
 //!   deadline stops a run that would otherwise evaluate large joins, and a
 //!   small step quota is exhausted *inside* evaluation, proving the budget
 //!   is threaded through `ra::eval`/provenance inner loops rather than only
-//!   algorithm loop boundaries.
+//!   algorithm loop boundaries;
+//! * the monotone poly-time path honours a deadline inside its per-tuple
+//!   provenance loop.
 
 use ratest_suite::core::session::{Budget, Session};
 use ratest_suite::core::RatestError;
 use ratest_suite::datagen::{tpch_database, university_database, TpchConfig, UniversityConfig};
 use ratest_suite::queries::course::course_questions;
-use ratest_suite::queries::mutations::sample_mutations;
+use ratest_suite::queries::mutations::{mutate, sample_mutations};
 use ratest_suite::queries::tpch_queries;
 use std::time::{Duration, Instant};
-
-#[test]
-fn deprecated_shims_match_the_session_on_the_course_workload() {
-    let db = university_database(&UniversityConfig::with_total(60));
-    let session = Session::builder(db.clone()).build();
-    let mut compared = 0usize;
-    for question in course_questions() {
-        let reference = session.prepare(&question.reference).expect("prepares");
-        for mutation in sample_mutations(&question.reference, 2, 40 + question.number as u64) {
-            let new = session
-                .explain(reference, &mutation.query)
-                .expect("session path runs");
-            #[allow(deprecated)]
-            let old = ratest_suite::core::pipeline::explain(
-                &question.reference,
-                &mutation.query,
-                &db,
-                &ratest_suite::core::pipeline::RatestOptions::default(),
-            )
-            .expect("deprecated shim runs");
-            assert_eq!(new.class, old.class, "q{}: class", question.number);
-            // The session path may dispatch to a different (equally exact)
-            // algorithm — `Basic` over the shared annotation where the
-            // one-shot auto picks `Optσ` — so the contract is the *outcome*:
-            // same agreement and same optimal counterexample size.
-            assert_eq!(
-                new.counterexample.as_ref().map(|c| c.size()),
-                old.counterexample.as_ref().map(|c| c.size()),
-                "q{}: counterexample size for `{}`",
-                question.number,
-                mutation.description
-            );
-            compared += 1;
-        }
-    }
-    assert!(
-        compared >= 16,
-        "the whole workload was compared: {compared}"
-    );
-}
 
 #[test]
 fn a_warm_session_answers_repeats_identically_to_a_cold_one() {
@@ -139,4 +98,43 @@ fn per_request_budgets_override_the_session_budget() {
 
     // And the session keeps answering other requests normally.
     assert!(session.explain(reference, wrong).is_ok());
+}
+
+#[test]
+fn a_deadline_stops_the_monotone_path_inside_its_provenance_loop() {
+    // Question 6's `a.course = b.course` comparison flipped to `<>` turns a
+    // self-join into a near cross product: on a 200-tuple instance the
+    // monotone path annotates thousands of differing tuples at about 10 ms
+    // each. Each annotation must poll the request's budget, so a 1 s
+    // deadline stops the run instead of letting it finish after 20 s.
+    let db = university_database(&UniversityConfig {
+        total_tuples: 200,
+        seed: 101_000,
+        ..Default::default()
+    });
+    let question = course_questions()
+        .into_iter()
+        .find(|q| q.number == 6)
+        .expect("question 6 exists");
+    let wrong = mutate(&question.reference)
+        .into_iter()
+        .find(|m| m.description == "join: changed `=` to `<>` in `(a.course = b.course)`")
+        .expect("the flipped-comparison mutant exists")
+        .query;
+    let session = Session::builder(db).build();
+    let reference = session.prepare(&question.reference).unwrap();
+    let start = Instant::now();
+    let err = session
+        .explain_with_budget(
+            reference,
+            &wrong,
+            &Budget::unlimited().with_deadline(Duration::from_secs(1)),
+        )
+        .expect_err("the deadline expires inside the provenance loop");
+    assert_eq!(err, RatestError::DeadlineExceeded);
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "the run must stop soon after its deadline: {:?}",
+        start.elapsed()
+    );
 }
