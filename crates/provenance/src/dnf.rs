@@ -34,7 +34,8 @@ impl Dnf {
         }
     }
 
-    /// The minterms.
+    /// The minterms; fewest literals first once [`Dnf::minimize`]d, as
+    /// [`Dnf::from_monotone`] returns them.
     pub fn minterms(&self) -> &[Minterm] {
         &self.minterms
     }
@@ -57,7 +58,8 @@ impl Dnf {
 
     /// Keep only *minimal* minterms: drop any minterm that is a superset of
     /// another (those can never be smallest witnesses and correspond to
-    /// non-minimal witnesses in the sense of Buneman et al.).
+    /// non-minimal witnesses in the sense of Buneman et al.). The kept
+    /// minterms are ordered by size, stably.
     pub fn minimize(&mut self) {
         let mut kept: Vec<Minterm> = Vec::with_capacity(self.minterms.len());
         // Sort by size so subsets are seen before supersets.

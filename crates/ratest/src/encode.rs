@@ -11,7 +11,7 @@ use crate::error::Result;
 use ratest_provenance::BoolExpr;
 use ratest_solver::formula::Formula;
 use ratest_solver::Var;
-use ratest_storage::{Database, TupleId, TupleSelection};
+use ratest_storage::{Database, ForeignKeyEdge, ForeignKeyIndex, TupleId, TupleSelection};
 use std::collections::HashMap;
 
 /// A bijection between tuple identifiers and solver variables.
@@ -94,24 +94,17 @@ pub fn encode_provenance(prv: &BoolExpr, vars: &mut VarMap) -> Formula {
 /// the map (they may need to be part of the witness), and the closure is
 /// iterated until no new tuples appear.
 pub fn foreign_key_clauses(db: &Database, vars: &mut VarMap) -> Result<Vec<Formula>> {
+    let index = db.foreign_key_index()?;
     let mut clauses = Vec::new();
     loop {
         let before = vars.len();
-        // Snapshot of currently known tuples.
-        let known: Vec<TupleId> = (1..=vars.len() as Var)
-            .filter_map(|v| vars.tuple(v))
-            .collect();
-        for fk in db.constraints().foreign_keys() {
-            for (child, parent) in fk.referenced_tuples(db)? {
-                if !known.contains(&child) {
-                    continue;
-                }
-                if let Some(parent) = parent {
-                    let c = vars.var(child);
-                    let p = vars.var(parent);
-                    clauses.push(Formula::implies(Formula::var(c), Formula::var(p)));
-                }
-            }
+        // Edges out of the currently known tuples. Parents registered in
+        // this round are only expanded in the next one.
+        let edges = edges_in_key_order(index, (1..=before as Var).filter_map(|v| vars.tuple(v)));
+        for edge in edges {
+            let c = vars.var(edge.child);
+            let p = vars.var(edge.parent);
+            clauses.push(Formula::implies(Formula::var(c), Formula::var(p)));
         }
         if vars.len() == before {
             break;
@@ -130,17 +123,27 @@ pub fn foreign_key_clauses(db: &Database, vars: &mut VarMap) -> Result<Vec<Formu
 /// Pair of (tuple-id, tuple-id) foreign-key edges restricted to the tuples in
 /// the map — used by the SMT-LIB rendering helpers.
 pub fn foreign_key_edges(db: &Database, vars: &VarMap) -> Result<Vec<(TupleId, TupleId)>> {
-    let mut edges = Vec::new();
-    for fk in db.constraints().foreign_keys() {
-        for (child, parent) in fk.referenced_tuples(db)? {
-            if vars.lookup(child).is_some() {
-                if let Some(parent) = parent {
-                    edges.push((child, parent));
-                }
-            }
-        }
-    }
-    Ok(edges)
+    let index = db.foreign_key_index()?;
+    let known = (1..=vars.len() as Var).filter_map(|v| vars.tuple(v));
+    Ok(edges_in_key_order(index, known)
+        .into_iter()
+        .map(|e| (e.child, e.parent))
+        .collect())
+}
+
+/// The index edges out of `children`, ordered by foreign key and then by the
+/// child's position in its relation — the order a scan of every foreign
+/// key's child relation visits them, which fixes the order new parents get
+/// their solver variables.
+fn edges_in_key_order(
+    index: &ForeignKeyIndex,
+    children: impl Iterator<Item = TupleId>,
+) -> Vec<ForeignKeyEdge> {
+    let mut edges: Vec<ForeignKeyEdge> = children
+        .flat_map(|child| index.edges_from(child).iter().copied())
+        .collect();
+    edges.sort_by_key(|e| (e.key, e.position));
+    edges
 }
 
 #[cfg(test)]

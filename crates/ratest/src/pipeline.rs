@@ -29,6 +29,7 @@ use ratest_solver::incremental::SolverReuse;
 use ratest_storage::Database;
 use ratest_telemetry::MetricsHandle;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -489,10 +490,10 @@ impl PreparedReference {
 /// per pair.
 ///
 /// Monotone pairs take the poly-time DNF path (sharing the reference
-/// *evaluation*); other SPJUD pairs run the exact `Basic` scan over
-/// difference annotations derived from the shared reference *annotation*
-/// via [`difference_of`]; aggregate pairs (no shared artifact applies) and
-/// forced algorithm choices run the unshared pipeline.
+/// evaluation and annotation); other SPJUD pairs run the exact `Basic` scan
+/// over difference annotations derived from the shared reference
+/// *annotation* via [`difference_of`]; aggregate pairs (no shared artifact
+/// applies) and forced algorithm choices run the unshared pipeline.
 pub(crate) fn explain_prepared(
     reference: &PreparedReference,
     q2: &Query,
@@ -560,6 +561,10 @@ pub(crate) fn explain_prepared(
         return Ok(outcome);
     }
 
+    // The submission's annotation is computed at most once: by the monotone
+    // search if a differing tuple comes from it, else (or after the search
+    // declines) for the solver-backed scan below.
+    let mut annotations = [ref_annotation.map(Cow::Borrowed), None];
     if class.is_monotone() {
         match smallest_witness_monotone_with_results(
             q1,
@@ -568,6 +573,7 @@ pub(crate) fn explain_prepared(
             &reference.params,
             r1,
             &r2,
+            &mut annotations,
             &mut timings,
             &candidate_ctx(options),
         ) {
@@ -596,13 +602,16 @@ pub(crate) fn explain_prepared(
         phase: Phase::Provenance,
     });
     let start = Instant::now();
-    let ann_q2 = annotate_instrumented(
-        q2,
-        db,
-        &reference.params,
-        &options.budget.interrupt(),
-        &options.metrics,
-    )?;
+    let ann_q2 = match annotations[1].take() {
+        Some(ann) => ann.into_owned(),
+        None => annotate_instrumented(
+            q2,
+            db,
+            &reference.params,
+            &options.budget.interrupt(),
+            &options.metrics,
+        )?,
+    };
     let ann_q1_minus_q2 = difference_of(ref_annotation, &ann_q2);
     let ann_q2_minus_q1 = difference_of(&ann_q2, ref_annotation);
     timings.provenance += start.elapsed();

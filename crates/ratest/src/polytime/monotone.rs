@@ -6,21 +6,23 @@
 //! the smallest witness of `t` w.r.t. `Q1` alone. That provenance is
 //! negation-free; expanding it to DNF and taking the smallest minterm gives
 //! the optimum directly, no solver needed.
+//!
+//! Cost: each side is annotated at most once per search (the paper's
+//! `prov-all`), the reference side shared from `prepare`; per differing tuple
+//! a budget poll, a DNF expansion and indexed foreign-key closures.
 
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
 use crate::problem::{
     check_distinguishes, differing_tuples, verify_candidate, CandidateEval, Counterexample, Witness,
 };
-use ratest_provenance::annotate::annotate_interruptible;
+use ratest_provenance::annotate::{annotate_instrumented, AnnotatedResult};
 use ratest_provenance::Dnf;
 use ratest_ra::ast::Query;
-use ratest_ra::builder::QueryBuilder;
 use ratest_ra::classify::{classify_pair, QueryClass};
-use ratest_ra::eval::Params;
-use ratest_ra::rewrite::push_selections_down;
-use ratest_ra::typecheck::output_schema;
+use ratest_ra::eval::{Params, ResultSet};
 use ratest_storage::{Database, TupleSelection};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Maximum number of DNF minterms expanded before giving up (the caller then
@@ -42,22 +44,36 @@ pub fn smallest_witness_monotone(
     let start = Instant::now();
     let (r1, r2) = check_distinguishes(q1, q2, db, params)?;
     timings.raw_eval = start.elapsed();
-    let cex =
-        smallest_witness_monotone_with_results(q1, q2, db, params, &r1, &r2, &mut timings, ctx)?;
+    let cex = smallest_witness_monotone_with_results(
+        q1,
+        q2,
+        db,
+        params,
+        &r1,
+        &r2,
+        &mut [None, None],
+        &mut timings,
+        ctx,
+    )?;
     timings.total = timings.raw_eval + timings.provenance + timings.solver;
     Ok((cex, timings))
 }
 
 /// The monotone algorithm operating on *precomputed* query results, so a
 /// batch caller can evaluate the (shared) reference query once per cohort.
+///
+/// `annotations` holds `Q1`'s and `Q2`'s annotations. A side left `None`
+/// is annotated here when a differing tuple first needs it, and stays
+/// filled if the search declines, so a solver-backed fallback can reuse it.
 #[allow(clippy::too_many_arguments)]
 pub fn smallest_witness_monotone_with_results(
     q1: &Query,
     q2: &Query,
     db: &Database,
     params: &Params,
-    r1: &ratest_ra::eval::ResultSet,
-    r2: &ratest_ra::eval::ResultSet,
+    r1: &ResultSet,
+    r2: &ResultSet,
+    annotations: &mut [Option<Cow<'_, AnnotatedResult>>; 2],
     timings: &mut Timings,
     ctx: &CandidateEval,
 ) -> Result<Counterexample> {
@@ -76,64 +92,50 @@ pub fn smallest_witness_monotone_with_results(
     // Different differing tuples can have witnesses of different sizes (a
     // tuple produced by a join needs one base tuple per joined relation, a
     // tuple that survives a projection needs just one), so scan them all and
-    // keep the global minimum; each one is a cheap single-tuple DNF.
+    // keep the global minimum.
     let mut best: Option<(TupleSelection, Vec<ratest_storage::Value>, bool)> = None;
     for (tuple, from_q1) in diffs {
-        if let Some((sel, _, _)) = &best {
-            if sel.len() == 1 {
-                break; // a singleton witness cannot be beaten
-            }
+        ctx.interrupt.check()?;
+        if best.as_ref().is_some_and(|(sel, _, _)| sel.len() == 1) {
+            break; // a singleton witness cannot be beaten
         }
-        // Provenance of the tuple w.r.t. the query that produced it, computed
-        // with a pushed-down tuple-equality selection. Monotonicity of the
-        // other query guarantees the tuple stays out of its result on every
+        // Provenance w.r.t. the query that produced the tuple: monotonicity of
+        // the other query keeps the tuple out of its result on every
         // sub-instance, so no flipped direction needs to be considered.
         let start = Instant::now();
-        let producer = if from_q1 { q1 } else { q2 };
-        let schema = output_schema(producer, db)?;
-        // Skip the single-tuple selection when the output schema has duplicate
-        // column names (name-based selection would be ambiguous).
-        let unique_names = schema
-            .names()
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-            == schema.arity();
-        let pushed = if unique_names {
-            let predicate = crate::optsigma::tuple_equality_predicate(&schema, &tuple);
-            let selected = QueryBuilder::from_query(producer.clone())
-                .select(predicate)
-                .build();
-            push_selections_down(&selected, db)?
-        } else {
-            producer.clone()
-        };
-        let annotated = annotate_interruptible(&pushed, db, params, &ctx.interrupt)?;
-        let Some(prv) = annotated.provenance_of(&tuple).cloned() else {
+        let side = usize::from(!from_q1);
+        if annotations[side].is_none() {
+            let producer = if from_q1 { q1 } else { q2 };
+            let ann = annotate_instrumented(producer, db, params, &ctx.interrupt, &ctx.metrics)?;
+            annotations[side] = Some(Cow::Owned(ann));
+        }
+        let Some(prv) = annotations[side]
+            .as_ref()
+            .and_then(|a| a.provenance_of(&tuple))
+        else {
             continue;
         };
         timings.provenance += start.elapsed();
 
-        // Expand to DNF and pick the smallest minterm. Foreign-key closure is
-        // applied afterwards by `build_counterexample`; among minterms of
-        // equal size we prefer the one whose closure is smallest.
+        // Expand to DNF (minterms come smallest first) and close each smallest
+        // minterm under foreign keys; among minterms of equal size we prefer
+        // the one whose closure is smallest.
         let start = Instant::now();
-        let dnf = Dnf::from_monotone(&prv, DEFAULT_DNF_LIMIT).map_err(|e| match e {
+        let dnf = Dnf::from_monotone(prv, DEFAULT_DNF_LIMIT).map_err(|e| match e {
             ratest_provenance::ProvenanceError::DnfTooLarge { limit } => RatestError::Unsupported(
                 format!("provenance DNF exceeds {limit} minterms; use the solver path"),
             ),
             other => RatestError::Provenance(other),
         })?;
-        let mut minterms: Vec<_> = dnf.minterms().to_vec();
-        minterms.sort_by_key(|m| m.len());
-        let smallest_len = minterms.first().map(|m| m.len()).unwrap_or(0);
-        for m in minterms.iter().take_while(|m| m.len() == smallest_len) {
+        let smallest_len = dnf.minterms().first().map_or(0, |m| m.len());
+        for m in dnf
+            .minterms()
+            .iter()
+            .take_while(|m| m.len() == smallest_len)
+        {
             let mut sel = TupleSelection::from_ids(m.iter().copied());
             sel.close_under_foreign_keys(db)?;
-            let better = best
-                .as_ref()
-                .map(|(b, _, _)| sel.len() < b.len())
-                .unwrap_or(true);
-            if better {
+            if best.as_ref().is_none_or(|(b, _, _)| sel.len() < b.len()) {
                 best = Some((sel, tuple.clone(), from_q1));
             }
         }
@@ -155,10 +157,14 @@ mod tests {
     use ratest_ra::builder::{col, lit, rel};
     use ratest_ra::testdata;
 
+    fn on_figure1(q1: &Query, q2: &Query) -> Result<(Counterexample, Timings)> {
+        let db = testdata::figure1_db();
+        smallest_witness_monotone(q1, q2, &db, &Params::new(), &CandidateEval::none())
+    }
+
     #[test]
     fn sj_pair_yields_one_tuple_per_joined_relation() {
         // Q1: CS registrations of students; Q2: ECON registrations (disjoint).
-        let db = testdata::figure1_db();
         let q1 = rel("Student")
             .rename("s")
             .join_on(
@@ -177,25 +183,20 @@ mod tests {
                     .and(col("r.dept").eq(lit("ECON"))),
             )
             .build();
-        let (cex, _) =
-            smallest_witness_monotone(&q1, &q2, &db, &Params::new(), &CandidateEval::none())
-                .unwrap();
+        let (cex, _) = on_figure1(&q1, &q2).unwrap();
         // One student plus one registration (Theorem 1: one tuple per relation).
         assert_eq!(cex.size(), 2);
     }
 
     #[test]
     fn spu_pair_yields_a_single_tuple_witness() {
-        let db = testdata::figure1_db();
         // Q1: names of all students; Q2: names of ECON students only.
         let q1 = rel("Student").project(&["name"]).build();
         let q2 = rel("Student")
             .select(col("major").eq(lit("ECON")))
             .project(&["name"])
             .build();
-        let (cex, _) =
-            smallest_witness_monotone(&q1, &q2, &db, &Params::new(), &CandidateEval::none())
-                .unwrap();
+        let (cex, _) = on_figure1(&q1, &q2).unwrap();
         assert_eq!(cex.size(), 1);
     }
 
@@ -215,9 +216,7 @@ mod tests {
             )
             .project(&["s.name", "s.major"])
             .build();
-        let (cex, _) =
-            smallest_witness_monotone(&q1, &q2, &db, &Params::new(), &CandidateEval::none())
-                .unwrap();
+        let (cex, _) = on_figure1(&q1, &q2).unwrap();
         let (via_solver, _) = crate::optsigma::smallest_witness_optsigma(
             &q1,
             &q2,
@@ -233,15 +232,8 @@ mod tests {
 
     #[test]
     fn non_monotone_pairs_are_rejected() {
-        let db = testdata::figure1_db();
         assert!(matches!(
-            smallest_witness_monotone(
-                &testdata::example1_q1(),
-                &testdata::example1_q2(),
-                &db,
-                &Params::new(),
-                &CandidateEval::none()
-            ),
+            on_figure1(&testdata::example1_q1(), &testdata::example1_q2()),
             Err(RatestError::Unsupported(_))
         ));
     }

@@ -18,7 +18,7 @@ use crate::problem::{
     check_distinguishes, difference_query, differing_tuples, verify_candidate, CandidateEval,
     Counterexample, Witness,
 };
-use ratest_provenance::annotate::annotate_with_params;
+use ratest_provenance::annotate::annotate_instrumented;
 use ratest_provenance::Dnf;
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify, QueryClass};
@@ -124,7 +124,7 @@ fn direction_best(
         let mut options: Vec<Option<TupleSelection>> = vec![None];
         // Only consider leaves that are union compatible with the output.
         if output_schema(leaf, db)?.arity() == tuple.len() {
-            let annotated = annotate_with_params(leaf, db, params)?;
+            let annotated = annotate_instrumented(leaf, db, params, &ctx.interrupt, &ctx.metrics)?;
             if let Some(prv) = annotated.provenance_of(tuple) {
                 let dnf = Dnf::from_monotone(prv, LEAF_DNF_LIMIT).map_err(|e| match e {
                     ratest_provenance::ProvenanceError::DnfTooLarge { limit } => {

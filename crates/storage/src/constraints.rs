@@ -7,7 +7,8 @@
 //! instance. Foreign keys are **not** closed under subinstances; the solver
 //! layer turns each referencing tuple into an implication clause
 //! `t_child ⇒ t_parent` (Section 4.3), and [`ForeignKey::referenced_tuples`]
-//! provides the tuple-level dependency map it needs.
+//! provides the tuple-level dependency map it needs. [`ForeignKeyIndex`]
+//! resolves that map once per database for the closure and clause builders.
 
 use crate::database::Database;
 use crate::error::{Result, StorageError};
@@ -268,6 +269,70 @@ impl ForeignKey {
             out.push((t.id.expect("base tuple"), referenced));
         }
         Ok(out)
+    }
+}
+
+/// One resolved foreign-key reference, as stored in a [`ForeignKeyIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForeignKeyEdge {
+    /// The referencing (child) tuple.
+    pub child: TupleId,
+    /// Which foreign key this edge comes from: its position among
+    /// [`ConstraintSet::foreign_keys`].
+    pub key: usize,
+    /// The child's position in its relation's iteration order.
+    pub position: usize,
+    /// The referenced (parent) tuple.
+    pub parent: TupleId,
+}
+
+/// Every resolved `child ⇒ parent` reference of a database, grouped by
+/// child, built once from [`ForeignKey::referenced_tuples`] so that closing
+/// a selection costs one lookup per selected tuple instead of a rescan of
+/// every foreign key's child and parent relations. Null and dangling
+/// references have no edge.
+#[derive(Debug, Clone, Default)]
+pub struct ForeignKeyIndex {
+    /// Sorted by `(child, key)`.
+    edges: Vec<ForeignKeyEdge>,
+}
+
+impl ForeignKeyIndex {
+    /// Resolve every foreign key of `db`.
+    pub(crate) fn build(db: &Database) -> Result<ForeignKeyIndex> {
+        let mut edges = Vec::new();
+        for (key, fk) in db.constraints().foreign_keys().enumerate() {
+            for (position, (child, parent)) in fk.referenced_tuples(db)?.into_iter().enumerate() {
+                if let Some(parent) = parent {
+                    edges.push(ForeignKeyEdge {
+                        child,
+                        key,
+                        position,
+                        parent,
+                    });
+                }
+            }
+        }
+        edges.sort_by_key(|e| (e.child, e.key));
+        Ok(ForeignKeyIndex { edges })
+    }
+
+    /// The references held by `child`, in foreign-key order (empty when the
+    /// tuple references nothing).
+    pub fn edges_from(&self, child: TupleId) -> &[ForeignKeyEdge] {
+        let start = self.edges.partition_point(|e| e.child < child);
+        let end = start + self.edges[start..].partition_point(|e| e.child == child);
+        &self.edges[start..end]
+    }
+
+    /// Total number of resolved references.
+    pub fn len(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Whether no tuple references another.
+    pub fn is_empty(&self) -> bool {
+        self.edges.is_empty()
     }
 }
 

@@ -1,11 +1,12 @@
 //! Database instances: named collections of relations plus their constraints.
 
-use crate::constraints::ConstraintSet;
+use crate::constraints::{ConstraintSet, ForeignKeyIndex};
 use crate::error::{Result, StorageError};
 use crate::relation::Relation;
 use crate::tuple::TupleId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A database instance `D`: an ordered collection of named relations together
 /// with its integrity constraints Γ.
@@ -16,6 +17,10 @@ pub struct Database {
     #[serde(skip)]
     by_name: HashMap<String, usize>,
     constraints: ConstraintSet,
+    /// Built on first use by [`Database::foreign_key_index`]; every mutable
+    /// accessor drops it.
+    #[serde(skip)]
+    fk_index: OnceLock<ForeignKeyIndex>,
 }
 
 impl Database {
@@ -26,6 +31,7 @@ impl Database {
             relations: Vec::new(),
             by_name: HashMap::new(),
             constraints: ConstraintSet::new(),
+            fk_index: OnceLock::new(),
         }
     }
 
@@ -42,6 +48,7 @@ impl Database {
         }
         let idx = self.relations.len() as u32;
         relation.set_relation_index(idx);
+        self.fk_index.take();
         self.by_name
             .insert(relation.name().to_owned(), idx as usize);
         self.relations.push(relation);
@@ -59,7 +66,10 @@ impl Database {
     /// Look up a relation mutably by name.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
         match self.by_name.get(name) {
-            Some(&i) => Ok(&mut self.relations[i]),
+            Some(&i) => {
+                self.fk_index.take();
+                Ok(&mut self.relations[i])
+            }
             None => Err(StorageError::UnknownRelation(name.into())),
         }
     }
@@ -96,7 +106,18 @@ impl Database {
 
     /// Mutable access to Γ.
     pub fn constraints_mut(&mut self) -> &mut ConstraintSet {
+        self.fk_index.take();
         &mut self.constraints
+    }
+
+    /// The resolved foreign-key references of this instance, built on the
+    /// first call and kept until the relations or constraints change.
+    pub fn foreign_key_index(&self) -> Result<&ForeignKeyIndex> {
+        if let Some(index) = self.fk_index.get() {
+            return Ok(index);
+        }
+        let index = ForeignKeyIndex::build(self)?;
+        Ok(self.fk_index.get_or_init(|| index))
     }
 
     /// Check `D ⊨ Γ`.
@@ -127,6 +148,7 @@ impl Database {
             relations,
             by_name,
             constraints: self.constraints.clone(),
+            fk_index: OnceLock::new(),
         }
     }
 
@@ -171,11 +193,13 @@ impl Database {
             relations,
             by_name,
             constraints,
+            fk_index: OnceLock::new(),
         }
     }
 
     /// Rebuild name and dedup indexes (needed after deserialization).
     pub fn rebuild_indexes(&mut self) {
+        self.fk_index.take();
         self.by_name = self
             .relations
             .iter()

@@ -54,7 +54,10 @@ pub mod subinstance;
 pub mod tuple;
 pub mod value;
 
-pub use constraints::{Constraint, ConstraintSet, ForeignKey, FunctionalDependency, Key, NotNull};
+pub use constraints::{
+    Constraint, ConstraintSet, ForeignKey, ForeignKeyEdge, ForeignKeyIndex, FunctionalDependency,
+    Key, NotNull,
+};
 pub use database::Database;
 pub use error::{Result, StorageError};
 pub use relation::Relation;

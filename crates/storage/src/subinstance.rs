@@ -79,29 +79,17 @@ impl TupleSelection {
 
     /// Close the selection under the database's foreign keys: whenever a
     /// selected child tuple references a parent tuple, the parent is added
-    /// too. Iterates to a fixpoint (FK chains). Returns the number of tuples
-    /// added.
+    /// too, transitively (FK chains). Walks only the selected tuples through
+    /// [`Database::foreign_key_index`]. Returns the number of tuples added.
     pub fn close_under_foreign_keys(&mut self, db: &Database) -> Result<usize> {
+        let index = db.foreign_key_index()?;
+        let mut frontier: Vec<TupleId> = self.ids.iter().copied().collect();
         let mut added = 0;
-        loop {
-            let mut new_ids: Vec<TupleId> = Vec::new();
-            for fk in db.constraints().foreign_keys() {
-                for (child, parent) in fk.referenced_tuples(db)? {
-                    if self.ids.contains(&child) {
-                        if let Some(p) = parent {
-                            if !self.ids.contains(&p) {
-                                new_ids.push(p);
-                            }
-                        }
-                    }
-                }
-            }
-            if new_ids.is_empty() {
-                break;
-            }
-            for id in new_ids {
-                if self.ids.insert(id) {
+        while let Some(child) = frontier.pop() {
+            for edge in index.edges_from(child) {
+                if self.ids.insert(edge.parent) {
                     added += 1;
+                    frontier.push(edge.parent);
                 }
             }
         }
@@ -188,6 +176,25 @@ mod tests {
         assert_eq!(s.len(), 2);
         // Closure is idempotent.
         assert_eq!(s.clone().close_under_foreign_keys(&db).unwrap(), 0);
+    }
+
+    #[test]
+    fn the_foreign_key_index_follows_mutations() {
+        let mut db = db_with_fk();
+        assert_eq!(db.foreign_key_index().unwrap().len(), 2);
+        let added = db
+            .relation_mut("Registration")
+            .unwrap()
+            .insert(vec![Value::from("Mary"), Value::from("330")])
+            .unwrap()
+            .unwrap();
+        let index = db.foreign_key_index().unwrap();
+        assert_eq!(index.len(), 3);
+        assert_eq!(index.edges_from(added)[0].parent, TupleId::new(0, 0));
+        assert!(index.edges_from(TupleId::new(0, 0)).is_empty());
+        db.constraints_mut().add_key("Student", &["name"]);
+        db.rebuild_indexes();
+        assert_eq!(db.foreign_key_index().unwrap().len(), 3);
     }
 
     #[test]
